@@ -84,8 +84,8 @@ class Tracer:
         self.calls: dict[str, int] = defaultdict(int)
         self.total_s: dict[str, float] = defaultdict(float)
         self.self_s: dict[str, float] = defaultdict(float)
-        #: Counts that are not span counts (store hits, phase-cache
-        #: hits/misses, outer iterations, transport bytes).
+        #: Counts that are not span counts (phase-cache hits/misses,
+        #: outer iterations, transport bytes).
         self.counts: dict[str, float] = defaultdict(float)
         self._stack: list[list] = []  # [span name, child seconds]
         self._undo: list[tuple[Any, str, Any]] = []
@@ -218,9 +218,6 @@ def install(tracer: Tracer) -> None:
     def outer_after(_token, result, *_args):
         counts["holistic.outer_iterations"] += result.outer_iterations
 
-    def get_after(_token, result, *_args):
-        counts["store.hits"] += result is not None
-
     # The shared-dir transport moves no bytes itself; the bytes are those
     # of the files it hands across the shard boundary.
     def transfer_after(_token, _result, transport, _host, name):
@@ -234,7 +231,6 @@ def install(tracer: Tracer) -> None:
         "repro.serve.app.analyze": phase,
         "repro.analysis.schedulability.holistic_analysis":
             {"after": outer_after},
-        "repro.batch.store.ResultStore.get": {"after": get_after},
         "repro.batch.transport.SharedDirTransport.stage_out":
             {"after": transfer_after},
         "repro.batch.transport.SharedDirTransport.pull":
@@ -302,7 +298,7 @@ def layer_metrics(tracer: Tracer, extras: dict) -> dict[str, float]:
         "canonical.calls": tracer.layer_calls("canonical"),
         "canonical.self_s": tracer.layer_self_s("canonical"),
         "store.gets": calls["repro.batch.store.ResultStore.get"],
-        "store.hits": counts["store.hits"],
+        "store.hits": 0,
         "store.puts": calls["repro.batch.store.ResultStore.put"],
         "store.get_s": total["repro.batch.store.ResultStore.get"],
         "store.put_s": total["repro.batch.store.ResultStore.put"],

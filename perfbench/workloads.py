@@ -87,7 +87,9 @@ SERVE_WRITE_SAMPLES = 32
 #: Requests replayed by each phase of the traced service run.
 SERVE_TRACED_REQUESTS = 256
 
-SETUP_SAMPLES = 3
+#: An even count, so that the median mixes samples of every CPU of a
+#: 2-CPU run.
+SETUP_SAMPLES = 6
 
 
 @dataclass
@@ -116,13 +118,6 @@ def sweep_spec(method: str, replicates: int, seed: int) -> CampaignSpec:
     )
 
 
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]) of a non-empty list."""
-    ordered = sorted(values)
-    rank = max(1, int(np.ceil(q / 100.0 * len(ordered))))
-    return ordered[rank - 1]
-
-
 #: The tail percentile: the highest whole one that keeps >= 10 samples
 #: beyond it on every workload.  serve_analyze is the binding one: the
 #: service's ~40 ms per request caps a 20 s run at ~450 requests, which
@@ -136,8 +131,11 @@ def latency_metrics(samples_ms: list[float], out: Outcome, what: str) -> None:
     out.notes.append(
         f"latency samples: {n} {what} ({beyond} beyond p{TAIL_PERCENTILE})"
     )
-    out.metrics["latency_p50_ms"] = percentile(samples_ms, 50)
-    out.metrics["latency_p97_ms"] = percentile(samples_ms, TAIL_PERCENTILE)
+    # Nearest-rank percentiles: each is one measured sample.
+    for name, q in (("latency_p50_ms", 50),
+                    ("latency_p97_ms", TAIL_PERCENTILE)):
+        out.metrics[name] = float(
+            np.percentile(samples_ms, q, method="inverted_cdf"))
 
 
 def children_usage() -> tuple[float, float]:
@@ -351,18 +349,25 @@ class SweepWorkload:
     def setup(self, seed: int, scratch: Path) -> None:
         self.seed = seed
         self.scratch = scratch
+        self.cpus = sorted(os.sched_getaffinity(0))
         Campaign(self.spec(0))
 
     def spec(self, k: int) -> CampaignSpec:
         return sweep_spec(self.method, self.replicates,
                           pass_seed(self.seed, k))
 
-    def one_pass(self, spec: CampaignSpec, traced_run: bool) -> dict:
+    def one_pass(self, k: int, traced_run: bool) -> dict:
         # A traced run stays inline on both sides of the overhead ratio:
         # pool children cannot be wrapped from here.
-        return self.summarize(campaign_pass(
-            Campaign(spec), 1 if traced_run else self.workers
-        ))
+        workers = 1 if traced_run else self.workers
+        if workers == 1:
+            # An inline pass runs on one CPU, and on a shared host each
+            # CPU is slowed by episodes of its own that can outlast a run.
+            # Passes take the run's CPUs in turn, so one CPU's episode
+            # sets at most its share of the passes.
+            os.sched_setaffinity(0, {self.cpus[k % len(self.cpus)]})
+        spec = self.spec(0 if traced_run else k)
+        return self.summarize(campaign_pass(Campaign(spec), workers))
 
     def summarize(self, p: dict) -> dict:
         """Check the pass's cells, then keep only what the metrics need:
@@ -395,10 +400,11 @@ class SweepWorkload:
         return self_peak_rss_mb()
 
     def measure(self, seconds: float, trace: bool, out: Outcome) -> None:
-        passes = run_passes(
-            lambda k: self.one_pass(self.spec(0 if trace else k), trace),
-            seconds / 2 if trace else seconds,
-        )
+        try:
+            passes = run_passes(lambda k: self.one_pass(k, trace),
+                                seconds / 2 if trace else seconds)
+        finally:
+            os.sched_setaffinity(0, self.cpus)
         if trace:
             traced, layers = self.traced_pass(self.spec(0))
             layers["trace.overhead_ratio"] = traced["wall"] / statistics.median(
@@ -431,8 +437,8 @@ class DispatchWorkload(SweepWorkload):
         # wall by up to a poll interval (~20% of a pass) at random.
         return super().spec(0)
 
-    def one_pass(self, spec: CampaignSpec, traced_run: bool) -> dict:
-        p = dispatch_pass(spec, self.scratch)
+    def one_pass(self, k: int, traced_run: bool) -> dict:
+        p = dispatch_pass(self.spec(k), self.scratch)
         p["latencies"] = solved_cell_ms(p["result"])
         return p
 
@@ -778,8 +784,9 @@ class ServeWorkload:
             check_writes(self.client, sock["writes"], out)
             plain = self._in_process(out, traced=False)
             traced, layers = self._in_process(out, traced=True)
-            layers["serve.http_ms"] = percentile(
-                sock["latencies"], 50) - percentile(plain["latencies"], 50)
+            layers["serve.http_ms"] = float(
+                np.percentile(sock["latencies"], 50, method="inverted_cdf")
+                - np.percentile(plain["latencies"], 50, method="inverted_cdf"))
             layers["trace.overhead_ratio"] = traced["wall"] / plain["wall"]
             out.metrics.update(layers)
             return
