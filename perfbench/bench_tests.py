@@ -29,7 +29,9 @@ ROOT = BENCH_DIR.parent
 sys.path.insert(0, str(BENCH_DIR))
 sys.path.insert(0, str(ROOT / "src"))
 
+import hostspeed  # noqa: E402
 import layertrace  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 from repro.batch import Campaign  # noqa: E402
 
@@ -86,6 +88,36 @@ def test_end_to_end_metrics_printed_with_units(workload):
     assert all(v["value"] > 0 for v in result["metrics"].values())
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] >= 1
+
+
+# -- the reference host speed ----------------------------------------------------
+
+
+def test_referred_metrics_are_declared():
+    declared = {m["name"] for m in CONTRACT["end_to_end"]}
+    for name in WORKLOADS:
+        assert set(workloads.WORKLOADS[name]().CPU_BOUND) <= declared
+
+
+def test_slow_host_referral_raises_rates_and_lowers_times():
+    speed = hostspeed.HostSpeed()
+    speed.times = [1.5 * hostspeed.REFERENCE_S, 2.5 * hostspeed.REFERENCE_S]
+    metrics = {"systems_per_s": 100.0, "setup_s": 4.0, "peak_rss_mb": 9.0}
+    units = {"systems_per_s": "1/s", "setup_s": "s", "peak_rss_mb": "MB"}
+    notes: list[str] = []
+    run.refer_to_reference_host(metrics, ("systems_per_s", "setup_s"),
+                                units, speed, notes)
+    assert metrics == pytest.approx(
+        {"systems_per_s": 200.0, "setup_s": 2.0, "peak_rss_mb": 9.0})
+    assert "systems_per_s=100" in notes[0]
+
+
+def test_host_speed_samples_every_cpu_and_restores_affinity():
+    speed = hostspeed.HostSpeed()
+    speed.step()
+    assert len(speed.times) == len(speed.cpus)
+    assert os.sched_getaffinity(0) == set(speed.cpus)
+    assert hostspeed.kernel() == hostspeed.kernel()
 
 
 # -- tracing --------------------------------------------------------------------

@@ -33,6 +33,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from hostspeed import REFERENCE_S, HostSpeed
+
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
@@ -121,6 +123,23 @@ def setup_sample(workload: str, seed: int, cpu: int) -> float:
     return elapsed
 
 
+def refer_to_reference_host(metrics: dict[str, float], names, units,
+                            speed: HostSpeed, notes: list[str]) -> None:
+    """Refer the CPU-bound figures *names* to the reference host speed:
+    rates (unit ``1/s``) times the run's slowdown, times divided by it."""
+    slowdown = speed.slowdown()
+    notes.append(
+        f"host slowdown {slowdown:.4f} (mean of {len(speed.times)} "
+        f"reference-kernel times / {REFERENCE_S} s); as measured: "
+        + ", ".join(f"{name}={metrics[name]:.6g}" for name in names)
+    )
+    for name in names:
+        if units[name] == "1/s":
+            metrics[name] *= slowdown
+        else:
+            metrics[name] /= slowdown
+
+
 def run_once(workload: str, seed: int, seconds: float, trace: bool) -> int:
     from workloads import SETUP_SAMPLES, WORKLOADS, Outcome
 
@@ -128,6 +147,9 @@ def run_once(workload: str, seed: int, seconds: float, trace: bool) -> int:
     out = Outcome()
     cpus = sorted(os.sched_getaffinity(0))
     samples: list[float] = []
+    # One host-speed record for the set-up samples, one for the timed
+    # work: each figure is referred by the host speed of its own moments.
+    setup_speed, speed = HostSpeed(), HostSpeed()
 
     def sample_setup(count: int) -> None:
         # The samples take the CPUs in turn, as inline passes do, so that
@@ -136,6 +158,7 @@ def run_once(workload: str, seed: int, seconds: float, trace: bool) -> int:
         # the run rather than one moment of it.
         for _ in range(count):
             cpu = cpus[len(samples) % len(cpus)]
+            setup_speed.sample(2)
             samples.append(setup_sample(workload, seed, cpu))
 
     if not trace:
@@ -144,7 +167,11 @@ def run_once(workload: str, seed: int, seconds: float, trace: bool) -> int:
     instance = WORKLOADS[workload]()
     try:
         instance.setup(seed, scratch)
-        instance.measure(seconds, trace, out)
+        if trace:
+            instance.measure(seconds, trace, out)
+        else:
+            instance.measure(seconds, trace, out, between=speed.step)
+            speed.step()
     finally:
         instance.close()
         remove_scratch(scratch)
@@ -155,6 +182,12 @@ def run_once(workload: str, seed: int, seconds: float, trace: bool) -> int:
             + " s (fresh interpreter to first timed call)"
         )
         out.metrics["setup_s"] = statistics.median(samples)
+        timed = tuple(n for n in instance.CPU_BOUND if n != "setup_s")
+        refer_to_reference_host(out.metrics, timed, declared, speed,
+                                out.notes)
+        if "setup_s" in instance.CPU_BOUND:
+            refer_to_reference_host(out.metrics, ("setup_s",), declared,
+                                    setup_speed, out.notes)
     if set(out.metrics) != set(declared):
         raise RuntimeError(
             f"{workload} measured {sorted(out.metrics)}, BENCHMARK.json "

@@ -58,12 +58,15 @@ TMP_ROOT = ROOT / ".perfbench_tmp"
 BASE = {"n_platforms": 3, "n_transactions": 4, "tasks_per_transaction": (2, 4)}
 LEVELS = linspace_levels(0.30, 0.95, 14)
 
-#: Replicates per ladder level: 120 x 14 = 1680 systems per exact pass
-#: (sweep_exact and dispatch_sweep).  With 840, the shards of a dispatch
-#: pass end so close to the dispatcher's poll ticks that the pass wall
-#: jumped between ~4.5 s and ~6.5 s from seed to seed.  Verdict mode is
-#: ~4x cheaper per system; 240 chains make its pass ~1 s on 2 workers.
-EXACT_REPLICATES = 120
+#: Replicates per ladder level.  A sweep_exact pass is 60 x 14 = 840
+#: systems (~1.3 s), so that the host-speed samples taken between passes
+#: interleave finely with the work.  A dispatch_sweep pass dispatches
+#: 120 x 14 = 1680: with 840, its shards end so close to the
+#: dispatcher's poll ticks that the pass wall jumped between ~4.5 s and
+#: ~6.5 s from seed to seed.  Verdict mode is ~4x cheaper per system; 240
+#: chains make its pass ~1 s on 2 workers.
+EXACT_REPLICATES = 60
+DISPATCH_REPLICATES = 120
 VERDICT_REPLICATES = 240
 
 #: Dispatch shape: subprocess slots and over-partitioned shards.
@@ -164,9 +167,10 @@ def pass_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence((seed, k)).generate_state(1)[0])
 
 
-def run_passes(one_pass, seconds: float) -> list:
+def run_passes(one_pass, seconds: float, between=None) -> list:
     """Call ``one_pass(k)`` for k = 0, 1, ... until *seconds* are spent
-    (at least MIN_PASSES times).
+    (at least MIN_PASSES times), and ``between()``, if given, untimed
+    before each pass.
 
     A further pass starts only when the median pass so far still fits in
     the remaining time, so a run overshoots its budget by less than one
@@ -176,6 +180,8 @@ def run_passes(one_pass, seconds: float) -> list:
     walls: list[float] = []
     t_end = time.perf_counter() + seconds
     while True:
+        if between is not None:
+            between()
         result = one_pass(len(results))
         results.append(result)
         walls.append(result["wall"])
@@ -299,12 +305,11 @@ def dispatch_pass(spec: CampaignSpec, scratch: Path) -> dict:
 
 
 def throughput_metrics(passes: list[dict], out: Outcome) -> None:
-    out.metrics["systems_per_s"] = statistics.median(
-        p["systems"] / p["wall"] for p in passes
-    )
-    out.metrics["cpu_ms_per_system"] = statistics.median(
-        1e3 * p["cpu"] / p["systems"] for p in passes
-    )
+    """Whole-run figures: every pass's systems over every pass's time."""
+    systems = sum(p["systems"] for p in passes)
+    out.metrics["systems_per_s"] = systems / sum(p["wall"] for p in passes)
+    out.metrics["cpu_ms_per_system"] = 1e3 * sum(
+        p["cpu"] for p in passes) / systems
     latency_metrics([ms for p in passes for ms in p["latencies"]], out,
                     "solved cells")
 
@@ -337,6 +342,11 @@ class SweepWorkload:
 
     #: The traced pass's tracer, for inspection by the tests.
     tracer: layertrace.Tracer | None = None
+
+    #: End-to-end metrics set by CPU work, which the run refers to the
+    #: reference host speed (:mod:`hostspeed`).
+    CPU_BOUND = ("systems_per_s", "cpu_ms_per_system", "latency_p50_ms",
+                 "latency_p97_ms", "setup_s")
 
     def __init__(self, name: str, method: str, replicates: int,
                  workers: int, check):
@@ -399,10 +409,11 @@ class SweepWorkload:
         out.notes.append("peak_rss_mb: benchmark process (inline)")
         return self_peak_rss_mb()
 
-    def measure(self, seconds: float, trace: bool, out: Outcome) -> None:
+    def measure(self, seconds: float, trace: bool, out: Outcome,
+                between=None) -> None:
         try:
             passes = run_passes(lambda k: self.one_pass(k, trace),
-                                seconds / 2 if trace else seconds)
+                                seconds / 2 if trace else seconds, between)
         finally:
             os.sched_setaffinity(0, self.cpus)
         if trace:
@@ -424,10 +435,15 @@ class SweepWorkload:
 
 
 class DispatchWorkload(SweepWorkload):
-    """The sweep_exact spec through ``CampaignDispatcher``."""
+    """The sweep_exact generator and ladder, 1680 systems a pass, through
+    ``CampaignDispatcher``."""
+
+    #: Not the pass wall: a pass ends on the dispatcher's poll ticks.
+    CPU_BOUND = ("cpu_ms_per_system", "latency_p50_ms", "latency_p97_ms",
+                 "setup_s")
 
     def __init__(self):
-        super().__init__("dispatch_sweep", "gauss_seidel", EXACT_REPLICATES,
+        super().__init__("dispatch_sweep", "gauss_seidel", DISPATCH_REPLICATES,
                          1, None)
 
     def spec(self, k: int) -> CampaignSpec:
@@ -652,13 +668,13 @@ def prefill(client, traffic: Traffic) -> list[bytes]:
 
 def replay(client, traffic: Traffic, expected: list[bytes], *,
            seconds: float | None = None, requests: int | None = None,
-           out: Outcome) -> dict:
+           out: Outcome, between=None) -> dict:
     """Closed-loop replay of the sequence over *client*.
 
     Stops after *requests* requests, or once *seconds* have passed.  Chunk
-    bodies are generated between timed chunks; ``wall`` sums the timed
-    chunks only.  Write responses are kept for :func:`check_write` on a
-    sample.
+    bodies are generated, and ``between()`` is called if given, between
+    timed chunks; ``wall`` sums the timed chunks only.  Write responses
+    are kept for :func:`check_write` on a sample.
     """
     latencies: list[float] = []
     wall = 0.0
@@ -668,6 +684,8 @@ def replay(client, traffic: Traffic, expected: list[bytes], *,
     c = 0
     clock = time.perf_counter
     while True:
+        if between is not None:
+            between()
         chunk = traffic.chunk(c)
         if requests is not None:
             chunk = chunk[: requests - len(latencies)]
@@ -769,6 +787,10 @@ class ServeWorkload:
 
     tracer: layertrace.Tracer | None = None
 
+    #: Request latency, request rate and set-up (the prefill) wait on the
+    #: bridge's ACK stall rather than on CPU work.
+    CPU_BOUND = ("cpu_ms_per_system",)
+
     def setup(self, seed: int, scratch: Path) -> None:
         self.scratch = scratch
         self.traffic = Traffic(seed)
@@ -776,7 +798,8 @@ class ServeWorkload:
         self.client = SocketClient(self.server.port)
         self.expected = prefill(self.client, self.traffic)
 
-    def measure(self, seconds: float, trace: bool, out: Outcome) -> None:
+    def measure(self, seconds: float, trace: bool, out: Outcome,
+                between=None) -> None:
         pid = self.server.proc.pid
         if trace:
             sock = replay(self.client, self.traffic, self.expected,
@@ -792,7 +815,7 @@ class ServeWorkload:
             return
         cpu0 = proc_cpu_s(pid)
         run = replay(self.client, self.traffic, self.expected,
-                     seconds=seconds, out=out)
+                     seconds=seconds, out=out, between=between)
         cpu = proc_cpu_s(pid) - cpu0
         n = len(run["latencies"])
         out.metrics["systems_per_s"] = n / run["wall"]
