@@ -59,8 +59,6 @@ def solve_scenario(
     *,
     bound: float,
     tol: float = 1e-9,
-    chain_jobs: bool = True,
-    memoize: bool = True,
     response_ceiling: float = float("inf"),
 ) -> ScenarioOutcome:
     """Solve one scenario for the analyzed task.
@@ -97,30 +95,27 @@ def solve_scenario(
         to spend hundreds of busy evaluations before the first
         completion abort could fire.  Job set, per-job iterate sequences
         and the final outcome are identical to the two-phase order.
-    chain_jobs:
-        Warm-start each job's completion fixed point from the previous
-        job's completion (sound: the completion map of job ``p+1``
-        dominates job ``p``'s pointwise, so its least fixed point is at or
-        above job ``p``'s).  Disabled by the benchmark reference mode.
-    memoize:
-        Cache ``interference`` on exact *t* across this scenario's busy
-        and completion solves (they revisit the same time points: shared
-        iterate prefixes, job-chained warm starts).  The dict operations
-        are inlined in the loops, so a hit costs one lookup instead of the
-        whole interference sum.  Disabled by the benchmark reference mode.
+
+    Each job's completion fixed point is warm-started from the previous
+    job's completion (sound: the completion map of job ``p+1`` dominates
+    job ``p``'s pointwise, so its least fixed point is at or above job
+    ``p``'s), and ``interference`` is memoized on exact *t* across the
+    scenario's busy and completion solves (they revisit the same time
+    points: shared iterate prefixes, job-chained warm starts).  The dict
+    operations are inlined in the loops, so a hit costs one lookup instead
+    of the whole interference sum.
     """
     if response_ceiling != float("inf"):
         return _solve_scenario_verdict(
             analyzed, phi_ab, interference,
-            bound=bound, tol=tol, chain_jobs=chain_jobs, memoize=memoize,
-            response_ceiling=response_ceiling,
+            bound=bound, tol=tol, response_ceiling=response_ceiling,
         )
 
     T = analyzed.period
     base = analyzed.delay + analyzed.blocking
     cost = analyzed.cost
     ceil_ = math.ceil
-    memo: dict[float, float] | None = {} if memoize else None
+    memo: dict[float, float] = {}
 
     # Eq. 13: p0 indexes the earliest job whose jittered activation can
     # coincide with the busy-period start.
@@ -144,12 +139,9 @@ def solve_scenario(
         ) + shift
         if own_jobs < 0:
             own_jobs = 0
-        if memo is None:
-            inter = interference(x)
-        else:
-            inter = memo.get(x)
-            if inter is None:
-                inter = memo[x] = interference(x)
+        inter = memo.get(x)
+        if inter is None:
+            inter = memo[x] = interference(x)
         nxt = base + own_jobs * cost + inter
         if nxt > bound:
             note_solve(evals, diverged=True)
@@ -190,41 +182,18 @@ def solve_scenario(
     prev_completion: float | None = None
     for p in range(p0, p_last + 1):
         done = base + (p - p0 + 1) * cost
-        # Activation instant of job p measured from the transaction
-        # activation (phi + (p-1)T - phi_bar); a completion iterate above
-        # ``response_ceiling + act`` implies a response past the ceiling.
-        act = phi_ab + (p - 1) * T - analyzed.phi
-        limit = response_ceiling + act
-        warm = (
-            chain_jobs
-            and prev_completion is not None
-            and prev_completion > start
-        )
+        warm = prev_completion is not None and prev_completion > start
         w = prev_completion if warm else start
         evals = 0
         while True:
             evals += 1
-            if memo is None:
-                inter = interference(w)
-            else:
-                inter = memo.get(w)
-                if inter is None:
-                    inter = memo[w] = interference(w)
+            inter = memo.get(w)
+            if inter is None:
+                inter = memo[w] = interference(w)
             nxt = done + inter
             if nxt > bound:
                 note_solves(evaluations, solves, warm_started=warm_solves)
                 note_solve(evals, diverged=True, warm_started=warm)
-                return ScenarioOutcome(
-                    response=float("inf"), worst_job=p, busy_length=L,
-                    jobs_checked=checked, evaluations=evaluations + evals,
-                )
-            if nxt > limit:
-                # Verdict-mode early exit: the iterate is a lower bound on
-                # this job's response, which lower-bounds the scenario's
-                # worst response -- the deadline miss is already proven.
-                note_solves(evaluations, solves, warm_started=warm_solves)
-                note_solve(evals, warm_started=warm)
-                note_ceiling_exit()
                 return ScenarioOutcome(
                     response=float("inf"), worst_job=p, busy_length=L,
                     jobs_checked=checked, evaluations=evaluations + evals,
@@ -246,8 +215,8 @@ def solve_scenario(
             warm_solves += 1
         prev_completion = w
         # Response measured from the transaction activation that released
-        # job p (see ``act`` above).
-        r = w - act
+        # job p: phi + (p-1)T - phi_bar.
+        r = w - (phi_ab + (p - 1) * T - analyzed.phi)
         checked += 1
         if r > worst:
             worst = r
@@ -266,8 +235,6 @@ def _solve_scenario_verdict(
     *,
     bound: float,
     tol: float,
-    chain_jobs: bool,
-    memoize: bool,
     response_ceiling: float,
 ) -> ScenarioOutcome:
     """Verdict-mode scenario solve: the busy-*length* loop has a ceiling too.
@@ -297,15 +264,13 @@ def _solve_scenario_verdict(
     base = analyzed.delay + analyzed.blocking
     cost = analyzed.cost
     ceil_ = math.ceil
-    memo: dict[float, float] | None = {} if memoize else None
+    memo: dict[float, float] = {}
 
     p0 = 1 - floor_div(analyzed.jitter + phi_ab, T)
     shift = 1 - p0
     start = base + cost
 
     def eval_inter(t: float) -> float:
-        if memo is None:
-            return interference(t)
         v = memo.get(t)
         if v is None:
             v = memo[t] = interference(t)
@@ -330,11 +295,7 @@ def _solve_scenario_verdict(
             done = base + (p - p0 + 1) * cost
             act = phi_ab + (p - 1) * T - analyzed.phi
             limit = response_ceiling + act
-            warm = (
-                chain_jobs
-                and prev_completion is not None
-                and prev_completion > start
-            )
+            warm = prev_completion is not None and prev_completion > start
             w = prev_completion if warm else start
             evals = 0
             while True:

@@ -48,7 +48,6 @@ __all__ = [
     "scenario_rows",
     "phase_cache_stats",
     "resolve_kernel",
-    "set_phase_cache_enabled",
     "w_task",
     "w_transaction_k",
     "w_transaction_star",
@@ -72,26 +71,11 @@ _PHASE_CACHE_MAX = 1 << 14
 _PHASE_CACHE: dict[tuple, tuple[float, ...]] = {}
 _PHASE_HITS = 0
 _PHASE_MISSES = 0
-_PHASE_CACHE_ENABLED = True
 
 
 def _q(x: float) -> int:
     """Quantize a time value for cache keying."""
     return round(x / PHASE_QUANTUM)
-
-
-def set_phase_cache_enabled(enabled: bool) -> bool:
-    """Toggle the phase cache (on by default); returns the previous state.
-
-    The off switch exists for benchmarking the memoization itself -- there
-    is no correctness reason to disable it.
-    """
-    global _PHASE_CACHE_ENABLED
-    previous = _PHASE_CACHE_ENABLED
-    _PHASE_CACHE_ENABLED = enabled
-    if not enabled:
-        _PHASE_CACHE.clear()
-    return previous
 
 
 def phase_cache_stats() -> tuple[int, int]:
@@ -125,7 +109,7 @@ def _phases_for(
     # repeated compiles that the cache originally served.  The phase
     # arithmetic (Eq. 10 with the fmod_pos/phase_in_period conventions) is
     # inlined -- this is the innermost compile loop.
-    if not _PHASE_CACHE_ENABLED or len(view.tasks) <= 2:
+    if len(view.tasks) <= 2:
         period = view.period
         fmod = math.fmod
         origin = s_phi + s_jit

@@ -204,9 +204,7 @@ def holistic_analysis(
     # for the rest of the analysis and only re-snapshot jitters per solve.
     projectors: dict[tuple[int, int], ViewProjector] = {}
     compile_caches: dict[tuple[int, int], dict] = {}
-    platform_index = (
-        ViewProjector.build_platform_index(work) if config.driver_cache else None
-    )
+    platform_index = ViewProjector.build_platform_index(work)
     busy_bound = config.busy_bound_factor * max(
         max(tr.period, float(tr.deadline)) for tr in work.transactions
     )
@@ -221,18 +219,14 @@ def holistic_analysis(
         if math.isinf(work.transactions[i].tasks[j].jitter):
             return UNSCHEDULABLE
         ceiling = txn_ceiling[i] if txn_ceiling is not None else math.inf
-        if config.driver_cache:
-            projector = projectors.get((i, j))
-            if projector is None:
-                projector = projectors[(i, j)] = ViewProjector(
-                    work, i, j, platform_index
-                )
-                compile_caches[(i, j)] = {}
-            views = projector.views()
-            cache = compile_caches[(i, j)]
-        else:
-            views = ViewProjector(work, i, j).views()
-            cache = None
+        projector = projectors.get((i, j))
+        if projector is None:
+            projector = projectors[(i, j)] = ViewProjector(
+                work, i, j, platform_index
+            )
+            compile_caches[(i, j)] = {}
+        views = projector.views()
+        cache = compile_caches[(i, j)]
         if config.method == "exact":
             res = response_time_exact(
                 work, i, j, config=config, views=views, bound=busy_bound,

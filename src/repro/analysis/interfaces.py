@@ -66,13 +66,6 @@ class AnalysisConfig:
         ``"gauss_seidel"`` outer update: a task is re-solved in a round
         only when a jitter it can observe moved by more than ``tol``.
         Ignored under ``"jacobi"``, whose full-round trace is the paper's.
-    driver_cache:
-        Enable the driver-level caches and warm chains that never change a
-        converged value: projection reuse across outer rounds, compiled-W
-        reuse while jitters are unchanged, per-scenario interference
-        memoization and job-chained completion warm starts.  Off, every
-        solve recomputes from scratch -- the PR 1 cost model, kept so the
-        campaign benchmark can A/B the driver work honestly.
     mode:
         ``"exact"`` (default) computes exact worst-case response times for
         every task -- the full PR 3 cost model, byte for byte.
@@ -85,10 +78,11 @@ class AnalysisConfig:
         entering the holistic loop at all.  Verdicts are identical to exact
         mode; per-task response times are NOT (they may be partial, upper
         bounds, or :data:`UNSCHEDULABLE` once the verdict is decided).
-    prefilters:
-        Verdict mode only: enable the necessary utilization test and the
-        sufficient response-time upper bound.  Off, verdict mode still
-        early-exits but always runs the holistic loop (for A/B accounting).
+
+    The driver-level caches are always on, since none of them changes a
+    converged value: projection reuse across outer rounds, compiled-W
+    reuse while jitters are unchanged, per-scenario interference
+    memoization and job-chained completion warm starts.
     """
 
     method: str = "reduced"
@@ -101,9 +95,7 @@ class AnalysisConfig:
     update: str = "jacobi"
     kernel: str = "auto"
     incremental: bool = True
-    driver_cache: bool = True
     mode: str = "exact"
-    prefilters: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "verdict"):

@@ -68,15 +68,17 @@ def response_time_reduced(
     so the outer holistic rounds skip re-projection; ``bound`` an already
     computed divergence bound; ``compile_cache`` a per-task dict the outer
     rounds thread through so compiled W closures are rebuilt only when the
-    jitters they bake in actually moved; ``ceiling`` the verdict-mode
-    response ceiling (``wcrt`` is reported as ``inf`` as soon as any
-    scenario proves the response exceeds it -- see
-    :func:`repro.analysis._scenario.solve_scenario`).
+    jitters they bake in actually moved (omitted, a fresh one serves just
+    this call); ``ceiling`` the verdict-mode response ceiling (``wcrt`` is
+    reported as ``inf`` as soon as any scenario proves the response
+    exceeds it -- see :func:`repro.analysis._scenario.solve_scenario`).
     """
     config = config or AnalysisConfig()
     analyzed, own, others = views if views is not None else build_views(system, a, b)
     if bound is None:
         bound = _busy_bound(system, config)
+    if compile_cache is None:
+        compile_cache = {}
     kernel = config.kernel
 
     candidates: list[HPTask | None] = list(own.tasks) + [None]
@@ -89,23 +91,18 @@ def response_time_reduced(
     # unchanged (phases and carries depend on nothing else that moves).
     single = [v for v in others if len(v.tasks) == 1]
     multi = [v for v in others if len(v.tasks) > 1]
-    if compile_cache is None:
-        multi_w = tuple(
-            compile_w_transaction_star(view, kernel=kernel) for view in multi
-        )
-    else:
-        multi_list = []
-        for view in multi:
-            state = tuple(hp.jitter for hp in view.tasks)
-            key = ("star", view.index)
-            hit = compile_cache.get(key)
-            if hit is not None and hit[0] == state:
-                multi_list.append(hit[1])
-            else:
-                fn = compile_w_transaction_star(view, kernel=kernel)
-                compile_cache[key] = (state, fn)
-                multi_list.append(fn)
-        multi_w = tuple(multi_list)
+    multi_list = []
+    for view in multi:
+        state = tuple(hp.jitter for hp in view.tasks)
+        key = ("star", view.index)
+        hit = compile_cache.get(key)
+        if hit is not None and hit[0] == state:
+            multi_list.append(hit[1])
+        else:
+            fn = compile_w_transaction_star(view, kernel=kernel)
+            compile_cache[key] = (state, fn)
+            multi_list.append(fn)
+    multi_w = tuple(multi_list)
 
     worst = float("-inf")
     worst_starter: int | None = None
@@ -126,11 +123,7 @@ def response_time_reduced(
         phi_ab = starter_phase_of_analyzed(analyzed, starter)
         starter_idx = starter.index if starter is not None else -1
         scenario_key = ("scenario", starter_idx)
-        hit = (
-            compile_cache.get(scenario_key)
-            if compile_cache is not None
-            else None
-        )
+        hit = compile_cache.get(scenario_key)
         if hit is not None and hit[0] == scenario_state:
             scenario_w = hit[1]
         else:
@@ -138,18 +131,13 @@ def response_time_reduced(
                 shared_rows = ()
                 for v in single:
                     row_key = ("rows", v.index)
-                    row_hit = (
-                        compile_cache.get(row_key)
-                        if compile_cache is not None
-                        else None
-                    )
+                    row_hit = compile_cache.get(row_key)
                     jit = v.tasks[0].jitter
                     if row_hit is not None and row_hit[0] == jit:
                         shared_rows += row_hit[1]
                     else:
                         v_rows = scenario_rows(v, v.tasks[0])
-                        if compile_cache is not None:
-                            compile_cache[row_key] = (jit, v_rows)
+                        compile_cache[row_key] = (jit, v_rows)
                         shared_rows += v_rows
             rows = (
                 scenario_rows(
@@ -159,8 +147,7 @@ def response_time_reduced(
                 + shared_rows
             )
             scenario_w = compile_w_rows(rows, kernel=kernel)
-            if compile_cache is not None:
-                compile_cache[scenario_key] = (scenario_state, scenario_w)
+            compile_cache[scenario_key] = (scenario_state, scenario_w)
 
         # solve_scenario memoizes the interference per scenario (its busy
         # and completion fixed points revisit the same time points); here
@@ -177,7 +164,6 @@ def response_time_reduced(
 
         outcome = solve_scenario(
             analyzed, phi_ab, interference, bound=bound, tol=config.tol,
-            chain_jobs=config.driver_cache, memoize=config.driver_cache,
             response_ceiling=ceiling,
         )
         evaluated += 1

@@ -239,7 +239,7 @@ def analyze(
     # classified result has no iterations to show (render_table3 would
     # refuse it), so tracing runs the holistic loop -- still in verdict
     # mode, whose early exits keep every recorded row complete.
-    if config.mode == "verdict" and config.prefilters and not trace:
+    if config.mode == "verdict" and not trace:
         reject = utilization_prefilter(system)
         if reject is not None:
             note_prefilter(accepted=False)

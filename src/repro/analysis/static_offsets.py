@@ -138,7 +138,6 @@ def response_time_exact(
 
             outcome = solve_scenario(
                 analyzed, phi_ab, interference, bound=bound, tol=config.tol,
-                chain_jobs=config.driver_cache, memoize=config.driver_cache,
                 response_ceiling=ceiling,
             )
             evaluated += 1

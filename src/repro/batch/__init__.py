@@ -21,9 +21,7 @@ Campaigns scale past one machine by sharding at chain granularity
 (``run(shard=(k, n))`` / ``--shard k/n``; union is bit-identical to the
 single run), merge back with :func:`merge_campaign_results`
 (``python -m repro campaign-merge``), resume partially completed chains
-from their longest finished sweep prefix, and optionally collect worker
-results through a ``multiprocessing.shared_memory`` ring
-(``collect="shm"``).  :mod:`repro.batch.dispatch` drives a whole sharded
+from their longest finished sweep prefix.  :mod:`repro.batch.dispatch` drives a whole sharded
 deployment unattended: over-partitioned shards on a work-stealing queue
 of subprocess slots, cost-aware ``lpt`` partitions fed by the
 ``chain_costs`` every result records, fault-tolerant relaunch-with-resume

@@ -46,12 +46,9 @@ converged jitter vector is the least fixed point -- start-independent --
 so the resumed suffix is bit-identical to a from-scratch run for
 ascending-walk chains; pruned verdict chains bisect a different level
 subset on resume, so there only the *verdicts* are guaranteed
-identical).  With
-``collect="shm"`` pool workers write fixed-width result records into a
-preallocated ``multiprocessing.shared_memory`` ring instead of
-round-tripping pickled chunk lists; records that do not fit (oversized
-extras, or a ring capped by ``shm_bytes``) fall back to the pickle path
-cell by cell, so the collected result is identical either way.
+identical).  Pool workers return each chunk's finished cells through the
+executor's pickled return values; ``collect=False`` (with a CSV stream)
+keeps none of them in memory.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ import heapq
 import json
 import math
 import os
-import struct
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -654,10 +650,6 @@ class CampaignResult:
     #: for chain-prefix resume (work that produced no reported cell).
     reseed_solves: int = 0
     reseed_evaluations: int = 0
-    #: Cells collected through the shared-memory ring vs cells that fell
-    #: back to the pickle path while ``collect="shm"`` was active.
-    shm_records: int = 0
-    shm_overflow: int = 0
     #: Cells served from / solved past the content-addressed result store
     #: (:mod:`repro.batch.store`).  Both stay 0 when no store was passed;
     #: with a store, ``store_hits + store_misses`` covers every
@@ -669,7 +661,7 @@ class CampaignResult:
     #: Recorded wall seconds per chain index (sum of cell ``time_s`` over
     #: the chain's collected cells) -- the cost manifest a later
     #: ``partition="lpt"`` run (or the dispatcher) feeds back into
-    #: :func:`chain_cost_estimates`.  Empty under ``collect="none"``.
+    #: :func:`chain_cost_estimates`.  Empty under ``collect=False``.
     chain_costs: dict[int, float] = field(default_factory=dict)
 
     # -- aggregate views --------------------------------------------------
@@ -828,8 +820,6 @@ class CampaignResult:
             "shard": self.shard,
             "reseed_solves": self.reseed_solves,
             "reseed_evaluations": self.reseed_evaluations,
-            "shm_records": self.shm_records,
-            "shm_overflow": self.shm_overflow,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
             "truncated": self.truncated,
@@ -850,8 +840,6 @@ class CampaignResult:
             shard=[int(shard[0]), int(shard[1])] if shard else None,
             reseed_solves=int(data.get("reseed_solves", 0)),
             reseed_evaluations=int(data.get("reseed_evaluations", 0)),
-            shm_records=int(data.get("shm_records", 0)),
-            shm_overflow=int(data.get("shm_overflow", 0)),
             store_hits=int(data.get("store_hits", 0)),
             store_misses=int(data.get("store_misses", 0)),
             truncated=bool(data.get("truncated", False)),
@@ -955,11 +943,6 @@ class CampaignResult:
                 f"\nprefix resume: {self.reseed_solves} re-seed solves "
                 f"({self.reseed_evaluations} evaluations, unreported)"
             )
-        if self.shm_records or self.shm_overflow:
-            footer += (
-                f"\nshm collection: {self.shm_records} records, "
-                f"{self.shm_overflow} pickle fallbacks"
-            )
         if self.store_hits or self.store_misses:
             footer += (
                 f"\nresult store: {self.store_hits} cells served, "
@@ -1034,8 +1017,6 @@ class StreamingMerger:
         self._reused = 0
         self._reseed_solves = 0
         self._reseed_evaluations = 0
-        self._shm_records = 0
-        self._shm_overflow = 0
         self._store_hits = 0
         self._store_misses = 0
         self._truncated = False
@@ -1080,8 +1061,6 @@ class StreamingMerger:
         self._reused += result.reused_cells
         self._reseed_solves += result.reseed_solves
         self._reseed_evaluations += result.reseed_evaluations
-        self._shm_records += result.shm_records
-        self._shm_overflow += result.shm_overflow
         self._store_hits += result.store_hits
         self._store_misses += result.store_misses
         self._truncated = self._truncated or result.truncated
@@ -1125,8 +1104,6 @@ class StreamingMerger:
             shard=None,
             reseed_solves=self._reseed_solves,
             reseed_evaluations=self._reseed_evaluations,
-            shm_records=self._shm_records,
-            shm_overflow=self._shm_overflow,
             store_hits=self._store_hits,
             store_misses=self._store_misses,
             truncated=self._truncated
@@ -1736,211 +1713,14 @@ def _run_chain(
     }
 
 
-# --------------------------------------------------------------------------
-# Shared-memory result collection
-# --------------------------------------------------------------------------
-
-#: Fixed-width record header: chain index, sweep step, method index,
-#: schedulable/converged/warm_started flags, outer iterations,
-#: evaluations, max_wcrt_ratio, time_s, phase-cache hits/misses, and the
-#: byte length of the JSON-encoded extras tail.
-_REC_HEADER = struct.Struct("<IIIBBBxqqddqqI")
-
-#: Fixed record width: the header plus up to ``SHM_RECORD_SIZE - header``
-#: bytes of JSON extras.  Records whose extras do not fit overflow to the
-#: pickle path (the built-in holistic extras need ~90 bytes).
-SHM_RECORD_SIZE = 256
-
-#: Default shared-memory ring capacity (64 MiB ~ 256k cells).
-DEFAULT_SHM_BYTES = 64 * 1024 * 1024
-
-
-def _encode_record(buf, offset: int, order: tuple, cell: dict) -> bool:
-    """Pack one tagged cell at *offset*; False when it does not fit.
-
-    False also covers extras that would not survive the JSON round trip
-    *unchanged* (non-string dict keys stringify, NaN breaks equality):
-    those cells fall back to the pickle path so ``collect="shm"`` stays
-    bit-identical to ``collect="pickle"`` for arbitrary custom methods.
-    """
-    extras_obj = cell["extras"]
-    try:
-        payload = json.dumps(extras_obj, separators=(",", ":"))
-        if json.loads(payload) != extras_obj:
-            return False
-        extras = payload.encode("utf-8")
-    except (TypeError, ValueError):
-        return False
-    if _REC_HEADER.size + len(extras) > SHM_RECORD_SIZE:
-        return False
-    _REC_HEADER.pack_into(
-        buf,
-        offset,
-        order[0],
-        order[1],
-        order[2],
-        int(cell["schedulable"]),
-        int(cell["converged"]),
-        int(cell["warm_started"]),
-        int(cell["outer_iterations"]),
-        int(cell["evaluations"]),
-        float(cell["max_wcrt_ratio"]),
-        float(cell["time_s"]),
-        int(cell["phase_cache_hits"]),
-        int(cell["phase_cache_misses"]),
-        len(extras),
-    )
-    start = offset + _REC_HEADER.size
-    buf[start:start + len(extras)] = extras
-    return True
-
-
-def _attach_shm(name: str):
-    """Attach a pool worker to the parent's segment.
-
-    Under the default ``fork`` start method the workers share the parent's
-    resource-tracker process, so the attach's re-registration is an
-    idempotent set-add there and the parent's ``unlink`` remains the one
-    cleanup point -- the worker must only ``close()`` its mapping.
-    """
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(name=name)
-
-
-class _ShmArena:
-    """Preallocated shared-memory ring for cell records.
-
-    Each pool chunk owns a contiguous region sized for its cell count
-    (single-writer per region, so no cross-process locking), assigned
-    ring-style until ``shm_bytes`` is exhausted; chunks past the cap, and
-    individual records that do not fit their region or their fixed width,
-    fall back to the executor's pickle path -- the merged result is
-    identical, only the transport differs.
-    """
-
-    def __init__(self, seg, regions: list[tuple[int, int] | None]):
-        self.seg = seg
-        self.regions = regions
-
-    @classmethod
-    def create(
-        cls, chunks: list[list[dict]], spec: CampaignSpec, shm_bytes: int
-    ) -> "_ShmArena":
-        n_cells_per_step = len(spec.methods)
-        n_steps = len(spec.sweep_values())
-        regions: list[tuple[int, int] | None] = []
-        offset = 0
-        for chunk in chunks:
-            cells = sum(
-                (n_steps - int(c.get("resume_step", 0))) * n_cells_per_step
-                for c in chunk
-            )
-            want = cells * SHM_RECORD_SIZE
-            capacity = min(want, max(0, shm_bytes - offset))
-            capacity -= capacity % SHM_RECORD_SIZE
-            if capacity <= 0:
-                regions.append(None)
-            else:
-                regions.append((offset, capacity))
-                offset += capacity
-        if offset == 0:
-            return cls(None, regions)
-        try:
-            from multiprocessing import shared_memory
-
-            seg = shared_memory.SharedMemory(create=True, size=offset)
-        except (ImportError, OSError):
-            # No usable shared memory on this platform/runner: degrade to
-            # the pickle path wholesale (results are identical).
-            return cls(None, [None] * len(regions))
-        return cls(seg, regions)
-
-    def region_info(self, i: int) -> dict | None:
-        if self.seg is None or self.regions[i] is None:
-            return None
-        offset, capacity = self.regions[i]
-        return {
-            "name": self.seg.name,
-            "offset": offset,
-            "capacity": capacity,
-        }
-
-    def decode(
-        self,
-        i: int,
-        count: int,
-        spec: CampaignSpec,
-        chain_by_index: dict[int, dict],
-    ) -> list[dict]:
-        """Tagged cell dicts of the first *count* records of region *i*."""
-        if count == 0 or self.seg is None or self.regions[i] is None:
-            return []
-        offset, _capacity = self.regions[i]
-        buf = self.seg.buf
-        out: list[dict] = []
-        for r in range(count):
-            o = offset + r * SHM_RECORD_SIZE
-            (
-                chain_index, step, m_idx,
-                schedulable, converged, warm_started,
-                outer_iterations, evaluations,
-                max_wcrt_ratio, time_s,
-                cache_hits, cache_misses,
-                extras_len,
-            ) = _REC_HEADER.unpack_from(buf, o)
-            start = o + _REC_HEADER.size
-            extras = (
-                json.loads(bytes(buf[start:start + extras_len]))
-                if extras_len
-                else {}
-            )
-            chain = chain_by_index[chain_index]
-            params = _jsonify(
-                _chain_point_params(spec, chain["point"], step)
-            )
-            out.append(
-                {
-                    "order": (chain_index, step, m_idx),
-                    "cell": {
-                        "params": params,
-                        "seed": chain["seed"],
-                        "replicate": chain["replicate"],
-                        "method": spec.methods[m_idx],
-                        "schedulable": bool(schedulable),
-                        "converged": bool(converged),
-                        "outer_iterations": outer_iterations,
-                        "evaluations": evaluations,
-                        "warm_started": bool(warm_started),
-                        "max_wcrt_ratio": max_wcrt_ratio,
-                        "time_s": time_s,
-                        "phase_cache_hits": cache_hits,
-                        "phase_cache_misses": cache_misses,
-                        "extras": extras,
-                    },
-                }
-            )
-        return out
-
-    def destroy(self) -> None:
-        if self.seg is not None:
-            self.seg.close()
-            self.seg.unlink()
-            self.seg = None
-
-
-def _run_chunk(
-    payload: tuple[dict, list[dict], dict | None, str | None]
-) -> dict:
+def _run_chunk(payload: tuple[dict, list[dict], str | None]) -> dict:
     """Worker entry point: a chunk is a list of chains.
 
-    With a shared-memory region, finished cells are packed into it and
-    only the overflow (plus the reseed accounting) returns through the
-    executor's pickle channel.  ``store_root`` (a path, not a live
-    object -- each worker opens its own handle) enables the
-    content-addressed result store for the chunk's chains.
+    ``store_root`` (a path, not a live object -- each worker opens its
+    own handle) enables the content-addressed result store for the
+    chunk's chains.
     """
-    spec_dict, chains, shm_region, store_root = payload
+    spec_dict, chains, store_root = payload
     spec = CampaignSpec.from_dict(spec_dict)
     store = ResultStore(store_root) if store_root else None
     cells: list[dict] = []
@@ -1955,35 +1735,8 @@ def _run_chunk(
         reseed_evaluations += chain_out["reseed_evaluations"]
         store_hits += chain_out["store_hits"]
         store_misses += chain_out["store_misses"]
-    written = 0
-    if shm_region is not None and cells:
-        seg = None
-        try:
-            seg = _attach_shm(shm_region["name"])
-            buf = seg.buf
-            offset = shm_region["offset"]
-            capacity = shm_region["capacity"]
-            kept: list[dict] = []
-            for item in cells:
-                fits = (written + 1) * SHM_RECORD_SIZE <= capacity
-                if fits and _encode_record(
-                    buf,
-                    offset + written * SHM_RECORD_SIZE,
-                    item["order"],
-                    item["cell"],
-                ):
-                    written += 1
-                else:
-                    kept.append(item)
-            cells = kept
-        except Exception:
-            written = 0  # attach/pack failed: ship everything via pickle
-        finally:
-            if seg is not None:
-                seg.close()
     return {
         "cells": cells,
-        "shm_written": written,
         "reseed_solves": reseed_solves,
         "reseed_evaluations": reseed_evaluations,
         "store_hits": store_hits,
@@ -2212,12 +1965,11 @@ class Campaign:
         chunk_size: int | None = None,
         resume_from: CampaignResult | None = None,
         stream_csv: str | Path | None = None,
-        collect: bool | str = True,
+        collect: bool = True,
         shard: tuple[int, int] | None = None,
         partition: str = "hash",
         cost_manifest: dict[int, float] | None = None,
         max_cells: int | None = None,
-        shm_bytes: int = DEFAULT_SHM_BYTES,
         checkpoint: str | Path | None = None,
         checkpoint_every: int = 0,
         store: ResultStore | str | Path | None = None,
@@ -2249,14 +2001,9 @@ class Campaign:
             Append each finished cell to this CSV as its chain completes,
             instead of waiting for the whole campaign.
         collect:
-            ``"pickle"`` (or ``True``, the default) collects cells through
-            the executor's pickled return values; ``"shm"`` has pool
-            workers pack fixed-width records into a shared-memory ring
-            (see :class:`_ShmArena`) with per-record pickle fallback;
-            ``"none"`` (or ``False``, requires *stream_csv*) keeps no
-            cells in memory, for arbitrarily large streamed sweeps --
-            streamed rows then also travel through the shared-memory ring
-            (same pickle fallback), not the executor's pickle channel.
+            ``True`` (default) keeps every finished cell in the result;
+            ``False`` (requires *stream_csv*) keeps none in memory, for
+            arbitrarily large streamed sweeps.
         shard:
             ``(k, n)`` runs only the chains of shard ``k`` of a
             deterministic ``n``-way partition (see :func:`shard_chains`);
@@ -2277,16 +2024,13 @@ class Campaign:
             Stop collecting after this many cells and return the partial
             (``truncated=True``) result -- a deterministic simulation of a
             mid-campaign kill, for resume testing and budgeted runs.
-        shm_bytes:
-            Ring capacity for ``collect="shm"``; chunks beyond it fall
-            back to the pickle path.
         checkpoint:
             Atomically rewrite a partial result JSON here as the run
             progresses, so a killed process leaves a valid ``--resume``
             input behind (the dispatcher's fault-tolerance substrate).
         checkpoint_every:
             Cells between checkpoint writes (required > 0 when
-            *checkpoint* is set; checkpointing needs ``collect`` != none).
+            *checkpoint* is set; checkpointing needs ``collect=True``).
         store:
             A :class:`~repro.batch.store.ResultStore` (or its root
             directory) memoizing solved cells *across* runs by content
@@ -2326,14 +2070,10 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        collect_mode = {True: "pickle", False: "none"}.get(collect, collect)
-        if collect_mode not in ("pickle", "shm", "none"):
-            raise ValueError(
-                "collect must be 'pickle', 'shm', 'none' or a bool, "
-                f"got {collect!r}"
-            )
-        if collect_mode == "none" and stream_csv is None:
-            raise ValueError("collect='none' requires stream_csv")
+        if not isinstance(collect, bool):
+            raise ValueError(f"collect must be a bool, got {collect!r}")
+        if not collect and stream_csv is None:
+            raise ValueError("collect=False requires stream_csv")
         if max_cells is not None and max_cells < 0:
             raise ValueError("max_cells must be >= 0")
         if partition not in ("hash", "lpt"):
@@ -2343,8 +2083,8 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
         if checkpoint is not None:
             if checkpoint_every < 1:
                 raise ValueError("checkpoint requires checkpoint_every >= 1")
-            if collect_mode == "none":
-                raise ValueError("checkpoint requires collect != 'none'")
+            if not collect:
+                raise ValueError("checkpoint requires collect=True")
         if isinstance(store, ResultStore):
             store_obj: ResultStore | None = store
         elif store is not None:
@@ -2443,8 +2183,6 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
         truncated = False
         reseed_solves = 0
         reseed_evaluations = 0
-        shm_records = 0
-        shm_overflow = 0
         store_hits = 0
         store_misses = 0
 
@@ -2461,8 +2199,6 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
                 shard=list(shard) if shard is not None else None,
                 reseed_solves=reseed_solves,
                 reseed_evaluations=reseed_evaluations,
-                shm_records=shm_records,
-                shm_overflow=shm_overflow,
                 store_hits=store_hits,
                 store_misses=store_misses,
                 truncated=truncated if final else True,
@@ -2492,7 +2228,7 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
             if stream is not None:
                 stream.write(part)
                 streamed += len(part)
-            if collect_mode != "none":
+            if collect:
                 tagged.extend(part)
             if (
                 checkpoint is not None
@@ -2508,7 +2244,6 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
                 worker_faults.fire(consumed, beat)
             return not truncated
 
-        arena: _ShmArena | None = None
         try:
             if beat is not None:
                 beat.start()
@@ -2534,24 +2269,7 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
                     chains[i:i + chunk_size]
                     for i in range(0, len(chains), chunk_size)
                 ]
-                # The ring also carries stream-only runs (collect="none"
-                # with a CSV stream): rows are decoded straight from shared
-                # memory and appended, dropping the pickle round-trip from
-                # bounded-memory streaming sweeps.
-                if collect_mode == "shm" or (
-                    collect_mode == "none" and stream is not None
-                ):
-                    arena = _ShmArena.create(chunks, self.spec, shm_bytes)
-                chain_by_index = {c["index"]: c for c in chains}
-                payloads = [
-                    (
-                        spec_dict,
-                        chunk,
-                        arena.region_info(i) if arena is not None else None,
-                        store_root,
-                    )
-                    for i, chunk in enumerate(chunks)
-                ]
+                payloads = [(spec_dict, chunk, store_root) for chunk in chunks]
                 pool = (
                     executor
                     if executor is not None
@@ -2567,26 +2285,13 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
                         pool.submit(_run_chunk, payload)
                         for payload in payloads
                     ]
-                    for i, future in enumerate(futures):
+                    for future in futures:
                         part = future.result()
-                        cells = part["cells"]
                         reseed_solves += part["reseed_solves"]
                         reseed_evaluations += part["reseed_evaluations"]
                         store_hits += part["store_hits"]
                         store_misses += part["store_misses"]
-                        if arena is not None:
-                            decoded = arena.decode(
-                                i, part["shm_written"], self.spec,
-                                chain_by_index,
-                            )
-                            shm_records += len(decoded)
-                            shm_overflow += len(cells)
-                            if decoded:
-                                cells = sorted(
-                                    decoded + cells,
-                                    key=lambda item: item["order"],
-                                )
-                        if not consume(cells):
+                        if not consume(part["cells"]):
                             break
                 finally:
                     if executor is None:
@@ -2599,8 +2304,6 @@ ProcessPoolExecutor` to run chain chunks on instead of creating (and
                         for future in futures:
                             future.cancel()
         finally:
-            if arena is not None:
-                arena.destroy()
             if stream is not None:
                 stream.close()
             if beat is not None:

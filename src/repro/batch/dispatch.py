@@ -626,9 +626,8 @@ class CampaignDispatcher:
     shard_args:
         Extra argv appended to every shard command line.  Flags the
         dispatcher builds itself (``--spec``, ``--shard``, ``--json``,
-        ``--checkpoint``, ...) and collection-disabling flags
-        (``--no-collect`` / ``--collect none``, which conflict with the
-        always-on checkpointing) are rejected up front with
+        ``--checkpoint``, ...) and ``--no-collect`` (which conflicts
+        with the always-on checkpointing) are rejected up front with
         :class:`ValueError` -- passing them through would make every
         shard fail every attempt at launch time.
     store:
@@ -792,26 +791,20 @@ class CampaignDispatcher:
 
     @classmethod
     def _validate_shard_args(cls, shard_args: list[str]) -> None:
-        for i, arg in enumerate(shard_args):
-            head, _, inline = arg.partition("=")
+        for arg in shard_args:
+            head = arg.partition("=")[0]
             owned = sorted(cls._OWNED_FLAGS & {head})
             if owned:
                 raise ValueError(
                     f"shard_args may not set {owned[0]!r}: the dispatcher "
                     "builds that flag itself for every shard subprocess"
                 )
-            value = inline or (
-                shard_args[i + 1] if i + 1 < len(shard_args) else ""
-            )
-            if head == "--no-collect" or (
-                head == "--collect" and value == "none"
-            ):
+            if head == "--no-collect":
                 raise ValueError(
-                    "shard_args disable cell collection "
-                    "(--no-collect / --collect none), but every dispatched "
-                    "shard checkpoints its partial result, which requires "
-                    "collected cells; drop the flag or run the campaign "
-                    "undispatched"
+                    "shard_args disable cell collection (--no-collect), "
+                    "but every dispatched shard checkpoints its partial "
+                    "result, which requires collected cells; drop the flag "
+                    "or run the campaign undispatched"
                 )
 
     # -- paths -------------------------------------------------------------

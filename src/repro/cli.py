@@ -177,9 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "completes (bounded-memory export for huge sweeps)")
     p_cp.add_argument("--no-collect", action="store_true",
                       help="with --stream-csv: do not keep cells in memory "
-                      "(summary output and --json/--csv are then empty); "
-                      "streamed rows travel through the shared-memory ring "
-                      "instead of the executor's pickle channel")
+                      "(summary output and --json/--csv are then empty)")
     p_cp.add_argument("--shard", metavar="K/N",
                       help="run only shard K of a deterministic N-way "
                       "chain partition (0-based, e.g. 0/2); the union of "
@@ -199,11 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "seconds) or a bare {chain index: seconds} mapping; "
                       "omitted, lpt falls back to the levels x tasks "
                       "size proxy")
-    p_cp.add_argument("--collect", choices=("pickle", "shm"),
-                      default="pickle",
-                      help="worker result transport: executor pickling "
-                      "(default) or a multiprocessing.shared_memory ring "
-                      "of fixed-width records with pickle fallback")
     p_cp.add_argument("--max-cells", type=int, default=None,
                       help="stop after this many cells and return the "
                       "truncated partial result (deterministic simulated "
@@ -785,7 +778,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         resume_from=resume_from,
         stream_csv=args.stream_csv,
-        collect="none" if args.no_collect else args.collect,
+        collect=not args.no_collect,
         shard=shard,
         partition=args.partition,
         cost_manifest=cost_manifest,

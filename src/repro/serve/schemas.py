@@ -11,9 +11,11 @@ The module also owns the *canonical result payload*: the bit-stable
 subset of a :class:`~repro.batch.campaign.CampaignResult` JSON document.
 ``GET /campaigns/{id}/result`` must return byte-identical bodies for two
 runs of the same spec (and match what ``python -m repro campaign --json``
-wrote, modulo wall-clock), so the payload drops every volatile execution
-field -- wall seconds, worker counts, store/shm/resume accounting,
-per-cell ``time_s`` -- and serializes through
+wrote, modulo wall-clock), so the payload keeps only what was computed
+-- spec, shard, truncation flag and cells minus their ``time_s`` -- and
+drops every execution field (wall seconds, worker counts, store/resume
+accounting, chain costs, and the keys older result files carry), then
+serializes through
 :func:`repro.batch.canonical.canonical_json`.  Non-finite metric floats
 (an unschedulable cell's ``max_wcrt_ratio`` is ``inf``, an aborted
 verdict probe's is ``nan``) are mapped onto the JSON-safe strings
@@ -171,24 +173,12 @@ class CampaignRequest:
 
 # -- canonical result payload ----------------------------------------------
 
-#: CampaignResult fields that vary run to run without changing what was
-#: computed.  ``chain_costs`` are recorded wall seconds; the store/shm/
-#: resume counters describe *how* cells were obtained, not their values.
-_VOLATILE_RESULT_FIELDS = frozenset(
-    {
-        "workers",
-        "wall_time_s",
-        "streamed_cells",
-        "reused_cells",
-        "reseed_solves",
-        "reseed_evaluations",
-        "shm_records",
-        "shm_overflow",
-        "store_hits",
-        "store_misses",
-        "chain_costs",
-    }
-)
+#: CampaignResult fields that say *what* was computed.  Everything else
+#: varies run to run without changing it: ``chain_costs`` are recorded
+#: wall seconds, and the store/resume counters describe *how* cells were
+#: obtained, not their values.  A result written by an older version may
+#: carry counters this one no longer has; they are dropped the same way.
+_STABLE_RESULT_FIELDS = ("spec", "shard", "truncated")
 
 
 def _json_safe(obj: Any) -> Any:
@@ -214,9 +204,7 @@ def canonical_result_payload(result: Any) -> dict:
     docstring for what is stripped and why.
     """
     data = result.to_dict() if hasattr(result, "to_dict") else dict(result)
-    payload = {
-        k: v for k, v in data.items() if k not in _VOLATILE_RESULT_FIELDS
-    }
+    payload = {k: data[k] for k in _STABLE_RESULT_FIELDS if k in data}
     payload["cells"] = [
         {k: v for k, v in cell.items() if k != "time_s"}
         for cell in data.get("cells", [])

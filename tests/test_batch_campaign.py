@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +18,10 @@ from repro.batch import (
     CampaignResult,
     CampaignSpec,
     MethodOutcome,
+    StreamingMerger,
     available_generators,
     available_methods,
+    merge_campaign_results,
     register_generator,
     register_method,
 )
@@ -193,8 +196,18 @@ class TestExtensibility:
                 extras={"total_tasks": system.total_tasks()},
             )
 
+        def int_keyed(system, warm_start):
+            return MethodOutcome(schedulable=True, extras={1: "x"})
+
+        def chatty(system, warm_start):
+            return MethodOutcome(
+                schedulable=True, extras={"blob": "x" * 4096}
+            )
+
         register_generator("test_tiny", tiny_generator)
         register_method("test_count_tasks", count_tasks)
+        register_method("test_int_keyed", int_keyed)
+        register_method("test_chatty", chatty)
         spec = CampaignSpec(
             grid={"n_transactions": (1, 2)},
             methods=("test_count_tasks",),
@@ -205,6 +218,23 @@ class TestExtensibility:
         assert len(result.cells) == 4
         for cell in result.cells:
             assert cell.extras["total_tasks"] == cell.params["n_transactions"]
+
+        # Extras that JSON would not round-trip unchanged (an int dict
+        # key) and long ones come back from pool workers exactly as the
+        # inline run builds them.
+        spec = small_spec(
+            methods=("reduced", "test_int_keyed", "test_chatty"),
+            systems_per_cell=4,
+        )
+        inline = Campaign(spec).run(workers=1)
+        pooled = Campaign(spec).run(workers=2)
+        assert pooled.metrics() == inline.metrics()
+        assert [c.extras for c in pooled.cells] == [
+            c.extras for c in inline.cells
+        ]
+        by_method = {c.method: c.extras for c in pooled.cells}
+        assert by_method["test_int_keyed"] == {1: "x"}  # key type kept
+        assert by_method["test_chatty"] == {"blob": "x" * 4096}
 
 
 class TestPaperGenerator:
@@ -350,6 +380,82 @@ class TestChainCosts:
         assert CampaignResult.load_json(path).chain_costs == {}
 
 
+class TestOlderResultFiles:
+    """Result files written while campaigns could collect through a
+    shared-memory ring carry two counters (``shm_records`` and
+    ``shm_overflow``) this version no longer has.  ``data/`` holds shard
+    0 of 2 of :func:`older_spec`, written by that version from a pool
+    run through the ring, and the canonical result bytes it produced for
+    the full campaign."""
+
+    DATA = Path(__file__).parent / "data"
+
+    @staticmethod
+    def older_spec() -> CampaignSpec:
+        return small_spec(methods=("reduced", "verdict"), seed=5)
+
+    def older_shard(self) -> dict:
+        data = json.loads(
+            (self.DATA / "campaign_shard0_with_shm_keys.json").read_text()
+        )
+        assert data["shm_records"] > 0  # really written through the ring
+        return data
+
+    def test_loads(self):
+        old = CampaignResult.from_dict(self.older_shard())
+        ours = Campaign(self.older_spec()).run(workers=1, shard=(0, 2))
+        assert old.metrics() == ours.metrics()
+        assert "shm_records" not in old.to_dict()
+
+    def test_serves_as_resume_input(self, tmp_path, capsys):
+        old = CampaignResult.from_dict(self.older_shard())
+        full = Campaign(self.older_spec()).run(workers=1)
+        resumed = Campaign(self.older_spec()).run(
+            workers=1, resume_from=old
+        )
+        assert resumed.reused_cells == len(old.cells)
+        assert resumed.metrics() == full.metrics()
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.older_spec().to_dict()))
+        json_out = tmp_path / "resumed.json"
+        rc = cli_main([
+            "campaign", "--spec", str(spec_path),
+            "--resume",
+            str(self.DATA / "campaign_shard0_with_shm_keys.json"),
+            "--json", str(json_out),
+        ])
+        assert rc == 0
+        assert f"resumed: {len(old.cells)} cells reused" in (
+            capsys.readouterr().out
+        )
+        assert CampaignResult.load_json(json_out).metrics() == full.metrics()
+
+    def test_merges(self):
+        old = CampaignResult.from_dict(self.older_shard())
+        other = Campaign(self.older_spec()).run(workers=1, shard=(1, 2))
+        full = Campaign(self.older_spec()).run(workers=1)
+        assert merge_campaign_results([old, other]).metrics() == (
+            full.metrics()
+        )
+        merger = StreamingMerger()
+        merger.add(other)
+        merger.add(old)
+        assert merger.finish().metrics() == full.metrics()
+
+    def test_canonical_result_bytes_unchanged(self):
+        from repro.serve import canonical_result_json
+
+        expected = (self.DATA / "campaign_canonical.json").read_bytes()
+        full = Campaign(self.older_spec()).run(workers=1)
+        assert canonical_result_json(full) == expected
+        # The dict form of an older file drops the old counters too.
+        old = self.older_shard()
+        assert canonical_result_json(old) == canonical_result_json(
+            CampaignResult.from_dict(old)
+        )
+
+
 class TestCheckpoint:
     """ISSUE 5: periodic atomic checkpoints make real kills resumable."""
 
@@ -393,7 +499,7 @@ class TestCheckpoint:
                 workers=1,
                 checkpoint=tmp_path / "c.json",
                 checkpoint_every=2,
-                collect="none",
+                collect=False,
                 stream_csv=tmp_path / "s.csv",
             )
 
@@ -508,16 +614,26 @@ class TestStreamingCsv:
     def test_no_collect_bounded_memory(self, tmp_path):
         import csv as csv_mod
 
-        spec = small_spec()
-        path = tmp_path / "stream.csv"
-        result = Campaign(spec).run(
-            workers=1, stream_csv=path, collect=False
-        )
-        assert result.cells == []
-        assert result.streamed_cells == spec.n_analyses()
-        with path.open() as fh:
-            rows = list(csv_mod.reader(fh))
-        assert len(rows) == 1 + spec.n_analyses()
+        def rows_without_timing(path):
+            with path.open() as fh:
+                return [tuple(r[:-1]) for r in csv_mod.reader(fh)]
+
+        spec = small_spec(systems_per_cell=4)
+        collected_path = tmp_path / "collected.csv"
+        Campaign(spec).run(workers=1, stream_csv=collected_path)
+        expected = rows_without_timing(collected_path)
+        assert len(expected) == 1 + spec.n_analyses()
+        # Inline and from a pool, a stream-only run keeps nothing in
+        # memory and streams every cell: the collected run's rows, in
+        # the same order.
+        for workers in (1, 2):
+            path = tmp_path / f"stream{workers}.csv"
+            result = Campaign(spec).run(
+                workers=workers, stream_csv=path, collect=False
+            )
+            assert result.cells == []
+            assert result.streamed_cells == spec.n_analyses()
+            assert rows_without_timing(path) == expected, workers
 
     def test_no_collect_requires_stream(self):
         with pytest.raises(ValueError, match="stream_csv"):
@@ -541,171 +657,26 @@ class TestStreamingCsv:
 
 
 class TestShmCollection:
-    """ISSUE 3 satellite: ``collect="shm"`` must equal ``collect="pickle"``
-    cell for cell, including when the ring overflows into the fallback."""
-
-    @pytest.mark.dist
-    def test_shm_equals_pickle_two_workers(self, shm_guard):
-        spec = small_spec(systems_per_cell=4)
-        pickle_r = Campaign(spec).run(workers=2, collect="pickle")
-        shm_r = Campaign(spec).run(workers=2, collect="shm")
-        assert shm_r.metrics() == pickle_r.metrics()
-        # Everything fit the default ring: no pickle fallback.
-        assert shm_r.shm_records == len(shm_r.cells)
-        assert shm_r.shm_overflow == 0
-        # The extras dicts survive the fixed-width JSON tail bit for bit.
-        assert [c.extras for c in shm_r.cells] == [
-            c.extras for c in pickle_r.cells
-        ]
-        # And the wall-clock payloads decoded from the ring are sane f64s.
-        assert all(c.time_s > 0 for c in shm_r.cells)
-
-    @pytest.mark.dist
-    def test_ring_overflow_falls_back_to_pickle(self, shm_guard):
-        from repro.batch.campaign import SHM_RECORD_SIZE
-
-        spec = small_spec(systems_per_cell=4)
-        reference = Campaign(spec).run(workers=1)
-        # Room for exactly two records: everything else must overflow.
-        shm_r = Campaign(
-            spec
-        ).run(workers=2, collect="shm", shm_bytes=2 * SHM_RECORD_SIZE)
-        assert shm_r.metrics() == reference.metrics()
-        assert 0 < shm_r.shm_records <= 2
-        assert shm_r.shm_overflow == len(shm_r.cells) - shm_r.shm_records
-
-    @pytest.mark.dist
-    def test_oversized_extras_overflow_per_record(self, shm_guard):
-        """A record whose extras exceed the fixed width ships via pickle;
-        small records still use the ring."""
-        def chatty(system, warm_start):
-            return MethodOutcome(
-                schedulable=True, extras={"blob": "x" * 4096}
-            )
-
-        register_method("test_chatty", chatty)
-        spec = small_spec(
-            methods=("reduced", "test_chatty"), systems_per_cell=4
-        )
-        pickle_r = Campaign(spec).run(workers=2, collect="pickle")
-        shm_r = Campaign(spec).run(workers=2, collect="shm")
-        assert shm_r.metrics() == pickle_r.metrics()
-        assert [c.extras for c in shm_r.cells] == [
-            c.extras for c in pickle_r.cells
-        ]
-        n = len(shm_r.cells)
-        assert shm_r.shm_records == n // 2      # the 'reduced' cells
-        assert shm_r.shm_overflow == n // 2     # the oversized ones
-
-    @pytest.mark.dist
-    def test_shm_streaming_same_rows(self, shm_guard, tmp_path):
-        import csv as csv_mod
-
-        spec = small_spec(systems_per_cell=4)
-        a_path = tmp_path / "pickle.csv"
-        b_path = tmp_path / "shm.csv"
-        Campaign(spec).run(workers=2, stream_csv=a_path, collect="pickle")
-        Campaign(spec).run(workers=2, stream_csv=b_path, collect="shm")
-
-        def rows_without_timing(path):
-            with path.open() as fh:
-                rows = list(csv_mod.reader(fh))
-            return sorted(tuple(r[:-1]) for r in rows[1:])
-
-        assert rows_without_timing(a_path) == rows_without_timing(b_path)
-
-    @pytest.mark.dist
-    def test_stream_only_runs_route_through_the_ring(self, shm_guard, tmp_path):
-        """ISSUE 4 satellite (ROADMAP open item): ``--stream-csv`` with
-        ``collect="none"`` carries rows through the shared-memory ring --
-        no pickle round-trip -- and writes the same CSV as the pickle
-        transport."""
-        import csv as csv_mod
-
-        spec = small_spec(systems_per_cell=4)
-        ring_path = tmp_path / "ring.csv"
-        pickle_path = tmp_path / "pickle.csv"
-        ring_r = Campaign(spec).run(
-            workers=2, stream_csv=ring_path, collect="none"
-        )
-        pickle_r = Campaign(spec).run(
-            workers=2, stream_csv=pickle_path, collect="pickle"
-        )
-        # The stream-only run really used the ring...
-        assert ring_r.shm_records == ring_r.streamed_cells > 0
-        assert ring_r.shm_overflow == 0
-        # ...kept nothing in memory...
-        assert ring_r.cells == []
-        # ...and streamed the identical rows, in the identical order.
-        def rows_without_timing(path):
-            with path.open() as fh:
-                rows = list(csv_mod.reader(fh))
-            return [tuple(r[:-1]) for r in rows]
-
-        assert rows_without_timing(ring_path) == rows_without_timing(pickle_path)
-
-    @pytest.mark.dist
-    def test_stream_only_ring_overflow_still_streams_everything(
-        self, shm_guard, tmp_path
-    ):
-        from repro.batch.campaign import SHM_RECORD_SIZE
-
-        spec = small_spec(systems_per_cell=4)
-        path = tmp_path / "tiny_ring.csv"
-        result = Campaign(spec).run(
-            workers=2, stream_csv=path, collect="none",
-            shm_bytes=2 * SHM_RECORD_SIZE,
-        )
-        assert result.streamed_cells == spec.n_analyses()
-        assert 0 < result.shm_records <= 2
-        assert result.shm_overflow == result.streamed_cells - result.shm_records
-
-    @pytest.mark.dist
-    def test_json_unstable_extras_overflow_per_record(self, shm_guard):
-        """Extras that would not survive the JSON round trip unchanged
-        (e.g. int dict keys, which JSON stringifies) must ship via the
-        pickle fallback so shm stays bit-identical to pickle."""
-        def int_keyed(system, warm_start):
-            return MethodOutcome(schedulable=True, extras={1: "x"})
-
-        register_method("test_int_keyed", int_keyed)
-        spec = small_spec(methods=("test_int_keyed",), systems_per_cell=4)
-        pickle_r = Campaign(spec).run(workers=2, collect="pickle")
-        shm_r = Campaign(spec).run(workers=2, collect="shm")
-        assert [c.extras for c in shm_r.cells] == [
-            c.extras for c in pickle_r.cells
-        ]
-        assert shm_r.cells[0].extras == {1: "x"}  # key type preserved
-        assert shm_r.shm_records == 0
-        assert shm_r.shm_overflow == len(shm_r.cells)
-
-    def test_single_worker_shm_degrades_to_inline(self):
-        """workers=1 has no IPC to optimize; collect='shm' still works."""
-        spec = small_spec()
-        inline = Campaign(spec).run(workers=1, collect="shm")
-        reference = Campaign(spec).run(workers=1)
-        assert inline.metrics() == reference.metrics()
-        assert inline.shm_records == 0
+    """``collect`` is a plain bool and the CLI has no ``--collect`` flag:
+    a request for a collection transport, such as the shared-memory ring
+    older versions offered, is refused instead of silently ignored."""
 
     def test_invalid_collect_rejected(self):
-        with pytest.raises(ValueError, match="collect"):
-            Campaign(small_spec()).run(workers=1, collect="carrier_pigeon")
+        for bad in ("shm", "pickle", "none", "carrier_pigeon"):
+            with pytest.raises(ValueError, match="collect"):
+                Campaign(small_spec()).run(workers=1, collect=bad)
 
-    def test_cli_collect_shm(self, tmp_path, capsys):
-        json_out = tmp_path / "result.json"
-        rc = cli_main([
-            "campaign",
-            "--grid", "utilization=0.3,0.6",
-            "--transactions", "2",
-            "--tasks", "1,2",
-            "--systems", "2",
-            "--workers", "2",
-            "--collect", "shm",
-            "--json", str(json_out),
-        ])
-        assert rc == 0
-        loaded = CampaignResult.load_json(json_out)
-        assert len(loaded.cells) == 4
+    def test_cli_collect_shm(self, capsys):
+        for value in ("shm", "pickle"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([
+                    "campaign",
+                    "--grid", "utilization=0.3,0.6",
+                    "--systems", "2",
+                    "--collect", value,
+                ])
+            assert exc.value.code == 2
+            assert "--collect" in capsys.readouterr().err
 
 
 class TestChainScaling:

@@ -28,6 +28,7 @@ import pytest
 from repro.analysis import (
     AnalysisConfig,
     analyze,
+    holistic_analysis,
     is_schedulable,
     utilization_prefilter,
 )
@@ -243,13 +244,12 @@ class TestPrefilters:
         assert result.outer_iterations == 0
 
     def test_prefilters_off_still_correct(self):
-        config = AnalysisConfig(
-            method="reduced", update="gauss_seidel", mode="verdict",
-            prefilters=False,
-        )
+        """The holistic loop on its own, without the pre-filters that
+        ``analyze`` runs first, still gets every verdict right."""
         for system in _systems()[:40]:
             assert (
-                analyze(system, config=config).schedulable
+                holistic_analysis(system, config=GS_VERDICT, trace=False)
+                .schedulable
                 == analyze(system, config=GS).schedulable
             )
 
@@ -516,6 +516,13 @@ class TestCampaignPruning:
             ]
             merged = merge_campaign_results(shards)
             assert merged.metrics() == full.metrics()
+        # A pool collects the pruned cells, provenance extras included,
+        # exactly as the inline run builds them.
+        pooled = campaign.run(workers=2)
+        assert pooled.metrics() == full.metrics()
+        assert [c.extras for c in pooled.cells] == [
+            c.extras for c in full.cells
+        ]
 
     def test_truncate_resume_verdicts_identical(self):
         campaign = Campaign(
@@ -546,17 +553,6 @@ class TestCampaignPruning:
         assert any(not c.schedulable for c in partial.cells)
         resumed = campaign.run(workers=1, resume_from=partial)
         assert _verdict_map(resumed) == _verdict_map(full)
-
-    def test_pickle_and_shm_collection_agree_on_pruned_cells(self):
-        campaign = Campaign(
-            CampaignSpec(methods=("verdict",), **CAMPAIGN_KW)
-        )
-        pickle_run = campaign.run(workers=2, collect="pickle")
-        shm_run = campaign.run(workers=2, collect="shm")
-        assert shm_run.metrics() == pickle_run.metrics()
-        assert [c.extras for c in shm_run.cells] == [
-            c.extras for c in pickle_run.cells
-        ]
 
 
 class TestExactModeUnchanged:
