@@ -196,18 +196,8 @@ class TestExtensibility:
                 extras={"total_tasks": system.total_tasks()},
             )
 
-        def int_keyed(system, warm_start):
-            return MethodOutcome(schedulable=True, extras={1: "x"})
-
-        def chatty(system, warm_start):
-            return MethodOutcome(
-                schedulable=True, extras={"blob": "x" * 4096}
-            )
-
         register_generator("test_tiny", tiny_generator)
         register_method("test_count_tasks", count_tasks)
-        register_method("test_int_keyed", int_keyed)
-        register_method("test_chatty", chatty)
         spec = CampaignSpec(
             grid={"n_transactions": (1, 2)},
             methods=("test_count_tasks",),
@@ -218,23 +208,6 @@ class TestExtensibility:
         assert len(result.cells) == 4
         for cell in result.cells:
             assert cell.extras["total_tasks"] == cell.params["n_transactions"]
-
-        # Extras that JSON would not round-trip unchanged (an int dict
-        # key) and long ones come back from pool workers exactly as the
-        # inline run builds them.
-        spec = small_spec(
-            methods=("reduced", "test_int_keyed", "test_chatty"),
-            systems_per_cell=4,
-        )
-        inline = Campaign(spec).run(workers=1)
-        pooled = Campaign(spec).run(workers=2)
-        assert pooled.metrics() == inline.metrics()
-        assert [c.extras for c in pooled.cells] == [
-            c.extras for c in inline.cells
-        ]
-        by_method = {c.method: c.extras for c in pooled.cells}
-        assert by_method["test_int_keyed"] == {1: "x"}  # key type kept
-        assert by_method["test_chatty"] == {"blob": "x" * 4096}
 
 
 class TestPaperGenerator:
@@ -614,26 +587,16 @@ class TestStreamingCsv:
     def test_no_collect_bounded_memory(self, tmp_path):
         import csv as csv_mod
 
-        def rows_without_timing(path):
-            with path.open() as fh:
-                return [tuple(r[:-1]) for r in csv_mod.reader(fh)]
-
-        spec = small_spec(systems_per_cell=4)
-        collected_path = tmp_path / "collected.csv"
-        Campaign(spec).run(workers=1, stream_csv=collected_path)
-        expected = rows_without_timing(collected_path)
-        assert len(expected) == 1 + spec.n_analyses()
-        # Inline and from a pool, a stream-only run keeps nothing in
-        # memory and streams every cell: the collected run's rows, in
-        # the same order.
-        for workers in (1, 2):
-            path = tmp_path / f"stream{workers}.csv"
-            result = Campaign(spec).run(
-                workers=workers, stream_csv=path, collect=False
-            )
-            assert result.cells == []
-            assert result.streamed_cells == spec.n_analyses()
-            assert rows_without_timing(path) == expected, workers
+        spec = small_spec()
+        path = tmp_path / "stream.csv"
+        result = Campaign(spec).run(
+            workers=1, stream_csv=path, collect=False
+        )
+        assert result.cells == []
+        assert result.streamed_cells == spec.n_analyses()
+        with path.open() as fh:
+            rows = list(csv_mod.reader(fh))
+        assert len(rows) == 1 + spec.n_analyses()
 
     def test_no_collect_requires_stream(self):
         with pytest.raises(ValueError, match="stream_csv"):
@@ -657,9 +620,79 @@ class TestStreamingCsv:
 
 
 class TestShmCollection:
-    """``collect`` is a plain bool and the CLI has no ``--collect`` flag:
-    a request for a collection transport, such as the shared-memory ring
-    older versions offered, is refused instead of silently ignored."""
+    """Pool workers hand every record back by pickle; older versions
+    could route records through a shared-memory ring instead.  The
+    records a pool collects or streams must equal the inline run's,
+    including those the ring used to divert to pickle.  ``collect`` is a
+    plain bool and the CLI has no ``--collect`` flag: a request for a
+    collection transport is refused instead of silently ignored."""
+
+    @pytest.mark.dist
+    def test_stream_only_runs_route_through_the_ring(self, tmp_path):
+        """A stream-only run (``collect=False`` plus ``stream_csv``) keeps
+        nothing in memory and streams every cell, inline and from a
+        pool, as the same rows in the same order as a collected run."""
+        import csv as csv_mod
+
+        def rows_without_timing(path):
+            with path.open() as fh:
+                return [tuple(r[:-1]) for r in csv_mod.reader(fh)]
+
+        spec = small_spec(systems_per_cell=4)
+        collected_path = tmp_path / "collected.csv"
+        Campaign(spec).run(workers=2, stream_csv=collected_path)
+        expected = rows_without_timing(collected_path)
+        assert len(expected) == 1 + spec.n_analyses()
+        for workers in (1, 2):
+            path = tmp_path / f"stream{workers}.csv"
+            result = Campaign(spec).run(
+                workers=workers, stream_csv=path, collect=False
+            )
+            assert result.cells == []
+            assert result.streamed_cells == spec.n_analyses()
+            assert rows_without_timing(path) == expected, workers
+
+    @pytest.mark.dist
+    def test_oversized_extras_overflow_per_record(self):
+        """A long extras payload, which overflowed a ring record, comes
+        back from a pool exactly as the inline run builds it."""
+        def chatty(system, warm_start):
+            return MethodOutcome(
+                schedulable=True, extras={"blob": "x" * 4096}
+            )
+
+        register_method("test_chatty", chatty)
+        spec = small_spec(
+            methods=("reduced", "test_chatty"), systems_per_cell=4
+        )
+        inline = Campaign(spec).run(workers=1)
+        pooled = Campaign(spec).run(workers=2)
+        assert pooled.metrics() == inline.metrics()
+        assert [c.extras for c in pooled.cells] == [
+            c.extras for c in inline.cells
+        ]
+        chatty_cells = [c for c in pooled.cells if c.method == "test_chatty"]
+        assert len(chatty_cells) == len(pooled.cells) // 2
+        assert all(
+            c.extras == {"blob": "x" * 4096} for c in chatty_cells
+        )
+
+    @pytest.mark.dist
+    def test_json_unstable_extras_overflow_per_record(self):
+        """Extras that JSON would not round-trip unchanged (an int dict
+        key, which JSON stringifies) come back from a pool unchanged."""
+        def int_keyed(system, warm_start):
+            return MethodOutcome(schedulable=True, extras={1: "x"})
+
+        register_method("test_int_keyed", int_keyed)
+        spec = small_spec(methods=("test_int_keyed",), systems_per_cell=4)
+        inline = Campaign(spec).run(workers=1)
+        pooled = Campaign(spec).run(workers=2)
+        assert pooled.metrics() == inline.metrics()
+        assert [c.extras for c in pooled.cells] == [
+            c.extras for c in inline.cells
+        ]
+        assert pooled.cells[0].extras == {1: "x"}  # key type preserved
 
     def test_invalid_collect_rejected(self):
         for bad in ("shm", "pickle", "none", "carrier_pigeon"):
@@ -806,15 +839,27 @@ class TestHeartbeatAndChains:
 
         from repro.batch.campaign import _HeartbeatWriter
 
+        def wait_for(condition):
+            deadline = _time.monotonic() + 10.0
+            while not condition():
+                assert _time.monotonic() < deadline, "beat thread stuck"
+                _time.sleep(0.005)
+
         parent = tmp_path / "wd"
-        hb = _HeartbeatWriter(parent / "beat.json", 0.02)
+        # The interval is far longer than the test, so the beat thread
+        # writes only when kicked: a periodic beat landing in the
+        # directory mid-rmtree would make the rmtree itself fail.
+        hb = _HeartbeatWriter(parent / "beat.json", 60.0)
         hb.start()
-        _time.sleep(0.06)
-        shutil.rmtree(parent)
-        _time.sleep(0.06)  # first beat after the rmtree fails, recreates
-        hb.bump(3)
-        _time.sleep(0.06)
-        hb.stop()
+        try:
+            shutil.rmtree(parent)
+            hb.bump(1)  # first beat after the rmtree fails, recreates
+            wait_for(lambda: hb.failed_beats >= 1)
+            landed = hb._seq
+            hb.bump(3)  # a later beat lands again
+            wait_for(lambda: hb._seq > landed)
+        finally:
+            hb.stop()
         assert hb.failed_beats >= 1
         beat = json.loads((parent / "beat.json").read_text())
         assert beat["cells"] == 3

@@ -516,13 +516,6 @@ class TestCampaignPruning:
             ]
             merged = merge_campaign_results(shards)
             assert merged.metrics() == full.metrics()
-        # A pool collects the pruned cells, provenance extras included,
-        # exactly as the inline run builds them.
-        pooled = campaign.run(workers=2)
-        assert pooled.metrics() == full.metrics()
-        assert [c.extras for c in pooled.cells] == [
-            c.extras for c in full.cells
-        ]
 
     def test_truncate_resume_verdicts_identical(self):
         campaign = Campaign(
@@ -553,6 +546,20 @@ class TestCampaignPruning:
         assert any(not c.schedulable for c in partial.cells)
         resumed = campaign.run(workers=1, resume_from=partial)
         assert _verdict_map(resumed) == _verdict_map(full)
+
+    def test_pickle_and_shm_collection_agree_on_pruned_cells(self):
+        """A pool collects the pruned verdict cells, provenance extras
+        included, exactly as the inline run builds them."""
+        campaign = Campaign(
+            CampaignSpec(methods=("verdict",), **CAMPAIGN_KW)
+        )
+        inline = campaign.run(workers=1)
+        pooled = campaign.run(workers=2)
+        assert pooled.metrics() == inline.metrics()
+        assert [c.extras for c in pooled.cells] == [
+            c.extras for c in inline.cells
+        ]
+        assert any(c.extras.get("verdict_inferred") for c in pooled.cells)
 
 
 class TestExactModeUnchanged:
